@@ -20,7 +20,7 @@ import tempfile
 import time
 from typing import Dict, List, Optional
 
-from spinbench import check, drivers, estimators, hostref, stack
+from spinbench import check, estimators, hostref, loadgen, stack
 from spinbench.tracer import ENGINE_SPAN, FLUSH_SPAN, Tracer
 from spinbench.workloads import MODELS, WORKLOADS, Workload, request_input
 
@@ -28,15 +28,16 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORK_ROOT = os.path.join(ROOT, "spinbench", "_work")
 TRACE_ROOT = os.path.join(ROOT, "spinbench", "_traces")
 
-N_BOOTS = 5               # fresh-interpreter boots per run; setup_s is their median
+N_BOOTS = 7               # fresh-interpreter boots per run; setup_s is their median
 BOOT_TIMEOUT_S = 60
 # Warm-up, served and checked but not measured: a fixed request count on
 # the closed loops, so the measured calls start at the same RNG stream
 # positions on every run and their op counts repeat exactly.
 WARM_REQUESTS = 10
 WARM_SECONDS = 1.0
-BLOCK_S = 0.5             # host-speed blocks for the reference kernel
-STALL_MS = 1.0            # CPU lost to others that marks a request stalled
+# Host-time figures keep the requests that saw no steal in flight, and
+# at least this share of them (the least exposed) in a steal storm.
+MIN_KEPT_SHARE = 0.25
 LEDGER_OPS = ("crossbar_cell_access", "adc_conversion", "rng_cycle",
               "dac_drive", "sa_read", "digital_mac", "digital_op")
 
@@ -104,20 +105,20 @@ def prepare(workload: Workload, artifacts: str) -> None:
         cwd=ROOT, env=_child_env(), check=True, timeout=BOOT_TIMEOUT_S)
 
 
-def boot(workload: Workload, artifacts: str,
-         ref: hostref.ReferenceKernel) -> Optional[Dict[str, float]]:
+def boot(workload: Workload, artifacts: str) -> Optional[Dict[str, float]]:
     """One fresh-interpreter boot; its phases in host-normalised seconds,
     or None if it failed or served a wrong first result.
 
-    The reference kernel runs just before the boot, and every phase is
-    scaled by ``REF_MS`` over its median time, as latencies are.
+    A reference boot runs just before it, and every phase is scaled by
+    ``REF_BOOT_S`` over the reference boot's time.
     """
-    scale = hostref.REF_MS / statistics.median(ref() for _ in range(5))
+    env = _child_env()
+    scale = hostref.REF_BOOT_S / hostref.reference_boot(env, BOOT_TIMEOUT_S)
     spawn = time.monotonic()
     proc = subprocess.run(
         [sys.executable, "-m", "spinbench.boot", "--workload",
          workload.name, "--artifacts", artifacts],
-        cwd=ROOT, env=_child_env(), capture_output=True, text=True,
+        cwd=ROOT, env=env, capture_output=True, text=True,
         timeout=BOOT_TIMEOUT_S)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
@@ -133,8 +134,21 @@ def boot(workload: Workload, artifacts: str,
 def normalised(run, requests, phase: str) -> List[float]:
     """Host-normalised latencies (ms) of ``requests`` of one phase."""
     return estimators.normalised(
-        requests, run.phase_refs(phase), run.t0[phase], BLOCK_S,
-        hostref.REF_MS, STALL_MS, run.workload.flush_interval_s or 0.0)
+        requests, run.phase_refs(phase), hostref.REF_MS,
+        run.workload.flush_interval_s or 0.0)
+
+
+def kept(run, requests, phase: str) -> List[bool]:
+    """Per request of one phase: is it kept in the host-time figures,
+    i.e. among the least exposed to steal?  Prints how many were not."""
+    exposure = estimators.steal_exposure(requests, run.host.steal)
+    keep = estimators.least_exposed(exposure, MIN_KEPT_SHARE)
+    marks = [ms for stamp, ms in run.host.steal
+             if run.t0[phase] <= stamp <= run.t1[phase]]
+    print(f"steal ({phase}): {marks[-1] - marks[0]:.0f} ms; "
+          f"{sum(e > 0 for e in exposure)} of {len(requests)} requests "
+          f"saw some in flight, {keep.count(False)} left out")
+    return keep
 
 
 # ----------------------------------------------------------------------
@@ -146,8 +160,8 @@ class Run:
     def __init__(self, workload: Workload, seed: int):
         self.workload = workload
         self.seed = seed
-        self.requests: List[drivers.Request] = []
-        self.refs: list = []
+        self.requests: List[loadgen.Request] = []
+        self.host: Optional[hostref.HostLog] = None
         self.t0: Dict[str, float] = {}
         self.t1: Dict[str, float] = {}
         self.probes: List[check.ProbeEngine] = []
@@ -164,11 +178,11 @@ class Run:
         self.call_start: Dict[int, float] = {}
         self.service_s: Dict[int, float] = {}
 
-    def phase(self, name: str) -> List[drivers.Request]:
+    def phase(self, name: str) -> List[loadgen.Request]:
         return [r for r in self.requests if r.phase == name]
 
     def phase_refs(self, name: str) -> list:
-        return [sample for sample in self.refs
+        return [sample for sample in self.host.refs
                 if self.t0[name] <= sample[0] <= self.t1[name]]
 
 
@@ -199,7 +213,7 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _drive(run: Run, frontend, phases, ref) -> None:
+def _drive(run: Run, frontend, phases) -> None:
     """Serve the warm-up and every measured phase on one front-end.
 
     ``phases`` is a list of ``(name, seconds, traced)``.
@@ -227,12 +241,11 @@ def _drive(run: Run, frontend, phases, ref) -> None:
         index = 0
         for name, seconds, traced in phases:
             before(name, traced)
-            requests, refs, index = drivers.closed_loop(
-                frontend, workload, seed, seconds, index, ref, name,
+            requests, index = loadgen.closed_loop(
+                frontend, workload, seed, seconds, index, run.host, name,
                 WARM_REQUESTS if name == "warm" else None)
             after(name, traced)
             run.requests += requests
-            run.refs += refs
         frontend.close()
     else:
         async def serve_all():
@@ -242,11 +255,11 @@ def _drive(run: Run, frontend, phases, ref) -> None:
             try:
                 for name, seconds, traced in phases:
                     before(name, traced)
-                    requests, refs, index = await drivers.open_loop(
-                        frontend, workload, seed, seconds, index, ref, name)
+                    requests, index = await loadgen.open_loop(
+                        frontend, workload, seed, seconds, index, run.host,
+                        name)
                     after(name, traced)
                     run.requests += requests
-                    run.refs += refs
             finally:
                 await frontend.aclose()
             return first
@@ -260,11 +273,9 @@ def execute(workload: Workload, seed: int, seconds: float, traced: bool,
     prepare(workload, work)
     expected = stack.expected_digests(work)
 
-    boot_ref = hostref.ReferenceKernel()
-
     def boots(n):
         for _ in range(n):
-            times = boot(workload, work, boot_ref)
+            times = boot(workload, work)
             if times is None:
                 run.errors.append("a fresh-interpreter boot failed")
             else:
@@ -276,6 +287,7 @@ def execute(workload: Workload, seed: int, seconds: float, traced: bool,
     snapshots = stack.load_snapshots(work)
     frontend = stack.build_frontend(workload, snapshots, _probe_factory(run))
     ref = hostref.ReferenceKernel(workload.replicas)
+    run.host = hostref.HostLog(ref)
     phases = [("warm", WARM_SECONDS, False)]
     if workload.closed:
         phases = [("warm", float("inf"), False)]
@@ -285,10 +297,13 @@ def execute(workload: Workload, seed: int, seconds: float, traced: bool,
     else:
         phases += [("measure", seconds, False)]
     try:
-        _drive(run, frontend, phases, ref)
+        _drive(run, frontend, phases)
     finally:
         ref.close()
-    run.peak_rss_mb = _peak_rss_mb()
+    # The probes' recordings grow with the requests served; they are the
+    # benchmark's memory, not the serving stack's.
+    run.peak_rss_mb = _peak_rss_mb() - sum(
+        p.recorded_bytes() for p in run.probes) / 2 ** 20
     boots(N_BOOTS - N_BOOTS // 2)
     if run.first_digests != expected:
         run.errors.append("the in-process stack's first results differ "
@@ -324,7 +339,7 @@ def execute(workload: Workload, seed: int, seconds: float, traced: bool,
 # ----------------------------------------------------------------------
 # Metrics
 # ----------------------------------------------------------------------
-def _good(run: Run, request: drivers.Request) -> bool:
+def _good(run: Run, request: loadgen.Request) -> bool:
     return request.ok and run.ticket_ok.get(request.index, False)
 
 
@@ -333,11 +348,12 @@ def end_to_end(run: Run) -> Dict[str, float]:
     measured = run.phase("measure")
     t0 = run.t0["measure"]
     good = [r for r in measured if _good(run, r)]
-    lat = normalised(run, good, "measure")
+    everyone = normalised(run, good, "measure")
+    lat = [ms for ms, keep in zip(everyone, kept(run, good, "measure"))
+           if keep]
     p99, q, n = estimators.tail(lat)
     raw = [r.latency_s * 1e3 for r in good]
-    print(f"latency: {len(good)} good requests, {len(good) - len(lat)} "
-          f"dropped as stalled; host-normalised p50 "
+    print(f"latency: {len(good)} good requests; host-normalised p50 "
           f"{statistics.median(lat):.4f} ms, tail p{100 * q:.2f} of {n} "
           f"samples = {p99:.4f} ms; raw p50 {statistics.median(raw):.4f} ms")
     if workload.closed:
@@ -350,7 +366,7 @@ def end_to_end(run: Run) -> Dict[str, float]:
                for r in measured]
         print(f"generator lag: p50 {statistics.median(lag):.4f} ms, "
               f"max {max(lag):.4f} ms")
-    slo = sum(1 for r in good if r.latency_s * 1e3 <= workload.slo_ms)
+    slo = sum(1 for ms in everyone if ms <= workload.slo_ms)
     _, energy, rows = _attributed(run, _energy_window(run))
     return {
         "latency_p50_ms": statistics.median(lat),
@@ -365,10 +381,12 @@ def end_to_end(run: Run) -> Dict[str, float]:
 
 def _energy_window(run: Run) -> List[int]:
     """Indices of the measured requests that make up the workload's first
-    ``energy_rows`` rows (all of them, if fewer rows were measured)."""
+    ``energy_rows`` rows (all of them, if fewer rows were measured or the
+    workload sets no limit)."""
+    limit = run.workload.energy_rows
     window, rows = [], 0
     for r in sorted(run.phase("measure"), key=lambda r: r.index):
-        if rows >= run.workload.energy_rows:
+        if limit is not None and rows >= limit:
             break
         window.append(r.index)
         rows += r.rows * len(r.samples)
@@ -476,7 +494,7 @@ def per_layer(run: Run) -> Dict[str, float]:
     traced = normalised(run, requests, "traced")
     metrics["trace.overhead_frac"] = \
         statistics.median(traced) / statistics.median(untraced) - 1.0
-    metrics["host.ref_ms"] = statistics.median(ms for _, ms in run.refs)
+    metrics["host.ref_ms"] = statistics.median(ms for _, ms in run.host.refs)
     return metrics
 
 

@@ -68,6 +68,11 @@ class ProbeEngine:
                                    start, end))
         return result
 
+    def recorded_bytes(self) -> int:
+        """Bytes of the arrays this probe holds for the check."""
+        return sum(call.x.nbytes + call.samples.nbytes
+                   for call in self.calls)
+
 
 @dataclasses.dataclass
 class Ticket:

@@ -1,24 +1,27 @@
 """Statistics the benchmark reports, kept free of NumPy and of the program.
 
 Host-time figures on a shared 2-vCPU host drift in plateaus several
-seconds long (see README.md).  The estimators here turn raw samples into
+seconds long and slow down in bursts of a few hundred milliseconds (see
+README.md).  The estimators here turn raw samples into
 figures that survive that drift:
 
 * :func:`tail` — the highest percentile (capped at p99) that still has at
   least ten samples beyond it, with the sample count it rests on;
 * :func:`normalised` — latency at a reference host speed: each request's
-  latency scaled by how slowly the interleaved reference kernel ran in its
-  block of the run, with requests a host stall hit left out;
+  latency scaled by how slowly the interleaved reference kernel ran just
+  before and just after it;
+* :func:`steal_exposure` and :func:`least_exposed` — how much CPU the
+  hypervisor took from the VM (steal) while each request was in flight,
+  and the requests that saw none;
 * :func:`due_latency` — open-loop latency timed from when a request was
   due, together with how late the generator submitted it.
 """
 
 from __future__ import annotations
 
-import collections
+import bisect
 import math
-import statistics
-from typing import Dict, Iterable, List, Tuple
+from typing import Iterable, List, Tuple
 
 TAIL_BEYOND = 10          # samples that must lie beyond the tail percentile
 TAIL_CAP = 0.99
@@ -41,47 +44,64 @@ def tail(values: Iterable[float]) -> Tuple[float, float, int]:
     return ordered[k], (k + 1) / n, n
 
 
-def block_index(t: float, t0: float, block_s: float) -> int:
-    """Which fixed-length block of a run (starting at ``t0``) ``t`` is in."""
-    return int((t - t0) // block_s)
-
-
-def block_refs(samples, t0: float, block_s: float) -> Dict[int, float]:
-    """Median reference-kernel time per block, from ``(stamp, kernel_ms)``
-    samples."""
-    blocks = collections.defaultdict(list)
-    for stamp, ms in samples:
-        blocks[block_index(stamp, t0, block_s)].append(ms)
-    return {b: statistics.median(v) for b, v in blocks.items()}
-
-
-def normalised(requests, samples, t0: float, block_s: float,
-               ref_ms: float, stall_ms: float, floor_s: float = 0.0
+def normalised(requests, samples, ref_ms: float, floor_s: float = 0.0
                ) -> List[float]:
-    """Latency (ms) at the host speed where the reference kernel takes
-    ``ref_ms``, for every request that lost at most ``stall_ms`` of CPU
-    time to others (``lost_ms``) while in flight.
+    """Latency (ms) of each request at the host speed where the reference
+    kernel takes ``ref_ms``.
 
-    A request's latency beyond ``floor_s`` is scaled by ``ref_ms`` over
-    the median kernel time of the block it was submitted in (or of the
-    nearest block with a sample).  The first ``floor_s`` — the serving
-    stack's flush timer, a wall-clock wait that host speed does not
-    change — is kept as measured.
+    ``samples`` are ``(stamp, kernel_ms)`` in time order.  A request's
+    latency beyond ``floor_s`` is scaled by ``ref_ms`` over the mean of
+    the two samples around it: the last taken before it was submitted and
+    the first taken after it completed (one of them at either end of the
+    run).  The first ``floor_s`` — the serving stack's flush timer, a
+    wall-clock wait that host speed does not change — is kept as
+    measured.
     """
     if not samples:
         raise ValueError("no host samples")
-    block_ref = block_refs(samples, t0, block_s)
+    stamps = [stamp for stamp, _ in samples]
     out = []
     for r in requests:
-        if r.lost_ms > stall_ms:
-            continue
-        block = block_index(r.submitted, t0, block_s)
-        nearest = min(block_ref, key=lambda b: (abs(b - block), b))
+        before = bisect.bisect_right(stamps, r.submitted) - 1
+        after = bisect.bisect_left(stamps, r.done)
+        near = [samples[i][1] for i in (before, after)
+                if 0 <= i < len(samples)]
         latency = r.done - r.due
         waited = min(latency, floor_s)
-        out.append((waited + (latency - waited) * ref_ms / block_ref[nearest])
-                   * 1e3)
+        out.append((waited + (latency - waited) * ref_ms * len(near)
+                    / sum(near)) * 1e3)
     return out
+
+
+def steal_exposure(requests, marks) -> List[float]:
+    """Steal (ms) the VM lost while each request was in flight.
+
+    ``marks`` are ``(stamp, cumulative steal ms)`` in time order.  A
+    request's exposure is the counter's growth from the last mark at or
+    before it was due to the first mark at or after it completed (the
+    run's first or last mark where there is none).
+    """
+    if not marks:
+        raise ValueError("no steal marks")
+    stamps = [stamp for stamp, _ in marks]
+    counts = [ms for _, ms in marks]
+    out = []
+    for r in requests:
+        before = max(bisect.bisect_right(stamps, r.due) - 1, 0)
+        after = min(bisect.bisect_left(stamps, r.done), len(marks) - 1)
+        out.append(counts[after] - counts[before])
+    return out
+
+
+def least_exposed(exposure: List[float], min_share: float) -> List[bool]:
+    """Which requests the host-time figures keep: every one that saw no
+    steal, and, when fewer than ``min_share`` of them did, the least
+    exposed ones up to the smallest exposure that keeps that share."""
+    if not exposure:
+        return []
+    ordered = sorted(exposure)
+    limit = ordered[max(math.ceil(min_share * len(ordered)) - 1, 0)]
+    return [e <= limit for e in exposure]
 
 
 def due_latency(due: float, submitted: float, done: float

@@ -10,14 +10,26 @@ a two-block convolution on float64 crossbar readouts (im2col gathers,
 read noise, ADC rounding, sign, max-pool) and a T = 20 pass-stacked
 binary MLP with dropout masks and a softmax — written against NumPy
 alone.  Its time moved in proportion to the served calls' time, where
-simpler kernels did not (README.md, "Host measurements").  It touches
-nothing of ``repro``, so no change to the program can move it.
+simpler kernels did not (README.md, "Host measurements").  For a
+workload with two engine replicas it adds a product run on both threads
+at once (:class:`ReferenceKernel`).  It touches nothing of ``repro``, so
+no change to the program can move it.
+
+Boot times are Python imports more than NumPy work, and the kernel does
+not track them; a reference *boot* — a fresh interpreter importing the
+same third-party and standard modules, nothing of ``repro`` — does.
+
+The host also loses whole vCPUs to the hypervisor now and then (steal);
+:class:`HostLog` records the steal counter as the load runs, so the
+estimators can leave out the requests it hit.
 """
 
 from __future__ import annotations
 
 import os
 import platform
+import subprocess
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -37,7 +49,7 @@ def _gather_plan(h: int, w: int, k: int = 3) -> np.ndarray:
 
 
 class _MiniEngine:
-    """One copy of the kernel's state (every thread gets its own)."""
+    """The kernel's state."""
 
     def __init__(self):
         rng = np.random.default_rng(12345)
@@ -107,55 +119,41 @@ class _MiniEngine:
 
 
 class ReferenceKernel:
-    """The kernel, run on ``threads`` threads at once when the workload
-    keeps that many engine replicas busy: a host that has lost one of its
-    vCPUs to another process then slows the reference the way it slows
-    the replicas.  A sample is the wall time of one run on every thread,
-    divided by the thread count."""
+    """The kernel.  For a workload whose engine replicas run on
+    ``threads`` > 1 threads, a sample adds to one run of the mini-engine
+    a float32 product run on every thread at once, with the interpreter
+    lock released, as the replicas' products run: how fast two threads
+    compute side by side changes with how the host places the vCPUs,
+    and the single-threaded mini-engine does not see it."""
+
+    # The product's shape: the replicas' second convolution (80 stacked
+    # images, 8x8 positions, 3x3x16 inputs, 32 outputs).
+    PRODUCT = ((5120, 144), (144, 32))
 
     def __init__(self, threads: int = 1):
-        self._engines = [_MiniEngine() for _ in range(threads)]
-        self._pool = ThreadPoolExecutor(max_workers=threads,
-                                        thread_name_prefix="hostref") \
-            if threads > 1 else None
+        self._engine = _MiniEngine()
+        self._pool = None
+        if threads > 1:
+            rng = np.random.default_rng(7)
+            self._products = [
+                tuple(rng.standard_normal(shape).astype(np.float32)
+                      for shape in self.PRODUCT) for _ in range(threads)]
+            self._pool = ThreadPoolExecutor(max_workers=threads,
+                                            thread_name_prefix="hostref")
 
     def __call__(self) -> float:
-        """Run once (on every thread); returns milliseconds per thread."""
+        """Run once; returns milliseconds."""
         t0 = time.perf_counter()
-        if self._pool is None:
-            self._engines[0].run()
-        else:
-            for future in [self._pool.submit(engine.run)
-                           for engine in self._engines]:
+        self._engine.run()
+        if self._pool is not None:
+            for future in [self._pool.submit(np.matmul, a, b)
+                           for a, b in self._products]:
                 future.result()
-        return (time.perf_counter() - t0) * 1e3 / len(self._engines)
+        return (time.perf_counter() - t0) * 1e3
 
     def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
-
-
-def runqueue_wait_ms() -> float:
-    """Milliseconds this process's live threads have spent runnable but
-    waiting for a CPU (field 2 of ``/proc/<pid>/task/*/schedstat``).
-
-    The benchmark keeps at most ``nproc`` threads runnable, so this grows
-    only when something outside the process takes the CPUs: a stall the
-    program did not cause.  Returns 0.0 where the kernel does not expose
-    it.
-    """
-    total = 0
-    try:
-        tasks = os.listdir("/proc/self/task")
-    except OSError:
-        return 0.0
-    for tid in tasks:
-        try:
-            with open(f"/proc/self/task/{tid}/schedstat") as fh:
-                total += int(fh.read().split()[1])
-        except (OSError, IndexError, ValueError):
-            continue
-    return total / 1e6
 
 
 _TICK_MS = 1000.0 / os.sysconf("SC_CLK_TCK")
@@ -163,8 +161,9 @@ _TICK_MS = 1000.0 / os.sysconf("SC_CLK_TCK")
 
 def steal_ms() -> float:
     """Milliseconds the hypervisor has kept this VM's vCPUs from running
-    (the ``steal`` column of ``/proc/stat``, all CPUs; 0.0 where the
-    kernel does not report it)."""
+    (the ``steal`` column of ``/proc/stat``, all CPUs, in clock ticks;
+    0.0 where the kernel does not report it): time the host gave to
+    other guests, not time spent in this one."""
     try:
         with open("/proc/stat") as fh:
             fields = fh.readline().split()
@@ -173,15 +172,40 @@ def steal_ms() -> float:
         return 0.0
 
 
-def cpu_lost_ms() -> float:
-    """Run-queue wait plus steal: CPU time taken from the benchmark by
-    something outside it, cumulative."""
-    return runqueue_wait_ms() + steal_ms()
+# A fresh interpreter importing what ``import repro.serving`` imports
+# from outside the repository (NumPy and the standard library), and
+# nothing of ``repro``: the host-speed reference for boot times.
+REFERENCE_BOOT = (
+    "import asyncio, concurrent.futures, ctypes, dataclasses, hashlib, "
+    "inspect, json, logging, multiprocessing, numpy, subprocess, tempfile")
+# Its time on a quiet host: boot times are reported at the host speed
+# where the reference boot takes REF_BOOT_S (README.md, "Set-up").
+REF_BOOT_S = 0.2
 
 
-def sample(kernel: ReferenceKernel) -> tuple:
-    """``(perf_counter stamp, reference-kernel ms)``."""
-    return time.perf_counter(), kernel()
+def reference_boot(env: dict, timeout: float) -> float:
+    """Seconds for one reference boot."""
+    t0 = time.monotonic()
+    subprocess.run([sys.executable, "-c", REFERENCE_BOOT], env=env,
+                   check=True, timeout=timeout)
+    return time.monotonic() - t0
+
+
+class HostLog:
+    """What the load generators record of the host while they run."""
+
+    def __init__(self, kernel: ReferenceKernel):
+        self.kernel = kernel
+        self.refs: list = []    # (perf_counter stamp, reference-kernel ms)
+        self.steal: list = []   # (perf_counter stamp, cumulative steal ms)
+
+    def reference(self) -> None:
+        """Run the reference kernel once and record its time."""
+        self.refs.append((time.perf_counter(), self.kernel()))
+
+    def mark(self) -> None:
+        """Record the steal counter."""
+        self.steal.append((time.perf_counter(), steal_ms()))
 
 
 def fingerprint() -> dict:

@@ -1,11 +1,10 @@
 """Load generators: one closed-loop client, and an open-loop Poisson
 generator on the event loop the async front-end serves on.
 
-Both run the reference kernel (``hostref.sample``) while the serving
+Both run the reference kernel (``HostLog.reference``) while the serving
 stack is idle — between requests in the closed loop, in arrival gaps with
-nothing queued or in flight in the open loop — and return its timings.
-Each request also records the CPU time the process lost to others while
-it was in flight (``hostref.cpu_lost_ms``).
+nothing queued or in flight in the open loop — and read the steal counter
+(``HostLog.mark``) as each request is sent and as it completes.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import time
 import traceback
 from typing import List, Optional, Tuple
 
-from spinbench.hostref import cpu_lost_ms, sample
+from spinbench.hostref import HostLog
 from spinbench.workloads import Workload, arrival_schedule, request_input
 
 # Open loop: run the reference kernel only in an idle gap at least this
@@ -40,7 +39,6 @@ class Request:
     done: float
     samples: List[Optional[object]]   # per ticket; None if it failed
     phase: str
-    lost_ms: float            # CPU lost to others while in flight
 
     @property
     def ok(self) -> bool:
@@ -51,26 +49,22 @@ class Request:
         return self.done - self.due
 
 
-Refs = List[Tuple[float, float]]       # hostref.sample() tuples
-
-
 def _report_failure(what: str) -> None:
     print(f"spinbench: {what} failed:", file=sys.stderr)
     traceback.print_exc(file=sys.stderr)
 
 
 def closed_loop(frontend, workload: Workload, seed: int, seconds: float,
-                first_index: int, ref, phase: str,
+                first_index: int, host: HostLog, phase: str,
                 max_requests: Optional[int] = None
-                ) -> Tuple[List[Request], Refs, int]:
+                ) -> Tuple[List[Request], int]:
     """One client: submit a request's tickets, flush, wait for every
     result, run the reference kernel, repeat until ``seconds`` pass (or
-    ``max_requests`` are served).  Returns the requests, reference
-    timings and the next free index."""
+    ``max_requests`` are served).  Returns the requests and the next
+    free index."""
     (model,) = workload.models
     rows = workload.rows_per_ticket
     requests: List[Request] = []
-    refs: Refs = []
     index = first_index
     t_end = time.perf_counter() + seconds
     while time.perf_counter() < t_end and \
@@ -78,7 +72,7 @@ def closed_loop(frontend, workload: Workload, seed: int, seconds: float,
         first_input = index * workload.tickets
         xs = [request_input(seed, first_input + k, model, rows)
               for k in range(workload.tickets)]
-        lost = cpu_lost_ms()
+        host.mark()
         start = time.perf_counter()
         try:
             tickets = [frontend.submit(x) for x in xs]
@@ -88,29 +82,27 @@ def closed_loop(frontend, workload: Workload, seed: int, seconds: float,
             _report_failure(f"request {index}")
             samples = [None] * len(xs)
         done = time.perf_counter()
+        host.mark()
         requests.append(Request(index, model, rows, first_input, start,
-                                start, done, samples, phase,
-                                cpu_lost_ms() - lost))
-        refs.append(sample(ref))
+                                start, done, samples, phase))
+        host.reference()
         index += 1
-    return requests, refs, index
+    return requests, index
 
 
 async def open_loop(frontend, workload: Workload, seed: int,
-                    seconds: float, first_index: int, ref, phase: str
-                    ) -> Tuple[List[Request], Refs, int]:
+                    seconds: float, first_index: int, host: HostLog,
+                    phase: str) -> Tuple[List[Request], int]:
     """Poisson arrivals submitted when due, whatever the backlog."""
     arrivals = arrival_schedule(workload, seed, seconds, first_index)
     scheduler = frontend.frontend
     requests: List[Request] = []
-    refs: Refs = []
     # Finished tasks leave the set at once: gathering thousands of done
     # tasks at the end would hold the loop while the last requests wait.
     tasks = set()
     t0 = time.perf_counter() + 0.005
 
     async def one(arrival, x, due):
-        lost = cpu_lost_ms()
         submitted = time.perf_counter()
         try:
             ticket = await frontend.submit(x, model=arrival.model)
@@ -119,9 +111,10 @@ async def open_loop(frontend, workload: Workload, seed: int,
             _report_failure(f"request {arrival.index}")
             samples = [None]
         done = time.perf_counter()
+        host.mark()
         requests.append(Request(arrival.index, arrival.model, arrival.rows,
                                 arrival.index, due, submitted, done,
-                                samples, phase, cpu_lost_ms() - lost))
+                                samples, phase))
 
     last_ref = 0.0
     for arrival in arrivals:
@@ -135,13 +128,14 @@ async def open_loop(frontend, workload: Workload, seed: int,
             if gap > REF_GAP_S and now - last_ref > REF_EVERY_S and \
                     scheduler.pending_rows == 0 and \
                     scheduler.in_flight_rows == 0:
-                refs.append(sample(ref))
+                host.reference()
                 last_ref = now
                 continue
             await asyncio.sleep(gap)
+        host.mark()
         task = asyncio.create_task(one(arrival, x, due))
         tasks.add(task)
         task.add_done_callback(tasks.discard)
     await asyncio.gather(*tasks)
     next_index = arrivals[-1].index + 1 if arrivals else first_index
-    return requests, refs, next_index
+    return requests, next_index

@@ -38,55 +38,63 @@ def test_tail_needs_more_than_ten_samples():
 
 
 class Req:
-    def __init__(self, due, done, lost_ms=0.0):
+    def __init__(self, due, done):
         self.due = self.submitted = due
         self.done = done
-        self.lost_ms = lost_ms
 
 
-def test_block_refs_take_the_median_per_block():
-    samples = [(10.1, 1.0), (10.2, 3.0), (10.3, 2.0), (10.6, 4.0)]
-    assert estimators.block_refs(samples, 10.0, 0.5) == {0: 2.0, 1: 4.0}
-
-
-def test_normalised_scales_latency_by_its_block_reference():
-    # Block 0 ran the kernel at 1 ms (the reference speed), block 1 at
-    # 2 ms: the host was twice as slow, so a 20 ms request there counts
-    # as 10 ms.
-    samples = [(10.1, 1.0), (10.6, 2.0), (10.9, 2.0)]
-    reqs = [Req(10.20, 10.21), Req(10.70, 10.72)]
-    out = estimators.normalised(reqs, samples, 10.0, 0.5, 1.0, 1.0)
+def test_normalised_scales_latency_by_the_reference_around_it():
+    # The kernel ran at 1 ms (the reference speed) before the first
+    # request and at 3 ms after it: the host ran it twice as slowly on
+    # average, so a 20 ms request counts as 10 ms.  The second request
+    # sits between two 2-ms samples: 20 ms count as 10 ms too.
+    samples = [(10.0, 1.0), (10.3, 3.0), (10.6, 2.0), (10.9, 2.0)]
+    reqs = [Req(10.10, 10.12), Req(10.70, 10.72)]
+    out = estimators.normalised(reqs, samples, 1.0)
     assert out == pytest.approx([10.0, 10.0])
 
 
 def test_normalised_keeps_the_wall_clock_floor_as_measured():
     # A 2 ms flush timer does not run slower on a slow host: of a 22 ms
-    # request in a 2x-slow block, 2 ms stay and 20 ms count as 10 ms.
+    # request on a 2x-slow host, 2 ms stay and 20 ms count as 10 ms.
     out = estimators.normalised([Req(10.0, 10.022), Req(10.0, 10.001)],
-                                [(10.1, 2.0)], 10.0, 0.5, 1.0, 1.0,
+                                [(9.9, 2.0), (10.1, 2.0)], 1.0,
                                 floor_s=0.002)
     assert out == pytest.approx([12.0, 1.0])
 
 
-def test_normalised_uses_the_nearest_block_with_a_sample():
-    out = estimators.normalised([Req(11.6, 11.61)], [(10.1, 2.0)],
-                                10.0, 0.5, 1.0, 1.0)
-    assert out == pytest.approx([5.0])
+def test_normalised_uses_one_side_at_the_ends_of_a_run():
+    samples = [(10.1, 2.0), (10.5, 4.0)]
+    reqs = [Req(10.0, 10.01), Req(11.6, 11.61)]
+    out = estimators.normalised(reqs, samples, 1.0)
+    assert out == pytest.approx([5.0, 2.5])
 
 
-def test_normalised_drops_requests_a_host_stall_hit():
-    # The second request lost 30 ms of CPU to others while in flight: it
-    # is left out, the others kept.
-    reqs = [Req(10.01, 10.02), Req(10.11, 10.15, lost_ms=30.0),
-            Req(10.21, 10.25, lost_ms=0.5)]
-    out = estimators.normalised(reqs, [(10.0, 1.0)], 10.0, 0.5, 1.0, 1.0)
-    assert out == pytest.approx([10.0, 40.0])
+def test_steal_exposure_is_the_counter_growth_around_each_request():
+    # Marks of the cumulative steal counter.
+    marks = [(10.0, 100.0), (10.3, 100.0), (10.6, 130.0), (10.9, 130.0),
+             (11.2, 150.0)]
+    reqs = [Req(10.0, 10.3),     # from the mark at 10.0 to the one at 10.3
+            Req(10.4, 10.5),     # marks at 10.3 and 10.6: 30 ms
+            Req(10.6, 10.9),     # exactly on marks: none
+            Req(11.0, 11.5)]     # past the last mark: up to it
+    assert estimators.steal_exposure(reqs, marks) == [0.0, 30.0, 0.0, 20.0]
 
 
-def test_block_index():
-    assert estimators.block_index(10.0, 10.0, 0.5) == 0
-    assert estimators.block_index(10.49, 10.0, 0.5) == 0
-    assert estimators.block_index(10.5, 10.0, 0.5) == 1
+def test_least_exposed_keeps_every_request_without_steal():
+    exposure = [0.0, 10.0, 0.0, 0.0, 20.0, 0.0, 0.0, 10.0]
+    assert estimators.least_exposed(exposure, 0.25) == \
+        [True, False, True, True, False, True, True, False]
+    assert estimators.least_exposed([0.0] * 4, 0.25) == [True] * 4
+    assert estimators.least_exposed([], 0.25) == []
+
+
+def test_least_exposed_keeps_a_share_in_a_steal_storm():
+    # Only one of eight saw no steal; a quarter (two) must be kept, so
+    # every request at the second-lowest exposure stays too.
+    exposure = [30.0, 10.0, 0.0, 20.0, 10.0, 40.0, 30.0, 20.0]
+    assert estimators.least_exposed(exposure, 0.25) == \
+        [False, True, True, False, True, False, False, False]
 
 
 def test_due_latency_charges_generator_lag_to_the_request():

@@ -42,8 +42,9 @@ class Workload:
     one has completed; a request there is ``tickets`` tickets of
     ``rows_per_ticket`` rows each, submitted together and flushed at
     once (two tickets let the sharded scheduler give each replica one).
-    The open loop draws Poisson arrivals at ``rate_per_s`` with 1–4
-    rows each and routes ``mix`` shares of them to each model.
+    The open loop offers Poisson arrivals at ``rate_per_s`` with 1–4
+    rows each and routes ``mix`` shares of them to each model
+    (:func:`arrival_schedule`).
     """
 
     name: str
@@ -60,9 +61,9 @@ class Workload:
     replicas: int = 1
     # energy_nj_per_row covers the first this many measured rows: few
     # enough that a closed loop on a slow host still serves them, so its
-    # figure repeats exactly; on the open loop, where the tenant mix and
-    # the coalescing vary, enough to average them out.
-    energy_rows: int = 800
+    # figure repeats exactly.  None on the open loop: every measured row,
+    # so the tenant mix is the one offered.
+    energy_rows: Optional[int] = 800
 
 
 WORKLOADS: Dict[str, Workload] = {
@@ -73,7 +74,7 @@ WORKLOADS: Dict[str, Workload] = {
         name="tenants-poisson", backend="async",
         models=("spindrop_mlp", "spinbayes"), slo_ms=50.0, closed=False,
         rate_per_s=100.0, mix=(0.75, 0.25), max_rows=4,
-        flush_interval_s=0.002, energy_rows=3000),
+        flush_interval_s=0.002, energy_rows=None),
     # Per-pass analog route (read noise on): cim, devices and im2col do
     # the work and serving is negligible.
     "cnn-nonideal": Workload(
@@ -196,17 +197,23 @@ class Arrival:
 
 def arrival_schedule(workload: Workload, seed: int, seconds: float,
                      start_index: int = 0):
-    """Poisson arrivals over ``seconds`` for an open-loop workload."""
+    """Arrivals over ``seconds`` for an open-loop workload.
+
+    A Poisson process at ``rate_per_s`` conditioned on its expected
+    count, so that every seed offers the same load: ``round(rate *
+    seconds)`` arrival times drawn uniformly and sorted, the tenant mix
+    and the 1..``max_rows`` row counts dealt out in exact proportions (up
+    to rounding) and shuffled.  The seed draws the times and the order.
+    """
     rng = np.random.default_rng((seed, 1 << 30, start_index))
-    arrivals = []
-    t = 0.0
-    index = start_index
-    while True:
-        t += rng.exponential(1.0 / workload.rate_per_s)
-        if t >= seconds:
-            return arrivals
-        model = workload.models[rng.choice(len(workload.models),
-                                           p=workload.mix)]
-        rows = int(rng.integers(1, workload.max_rows + 1))
-        arrivals.append(Arrival(index, t, model, rows))
-        index += 1
+    n = round(workload.rate_per_s * seconds)
+    times = np.sort(rng.uniform(0.0, seconds, n))
+    counts = [round(share * n) for share in workload.mix[:-1]]
+    models = np.repeat(np.arange(len(workload.models)),
+                       counts + [n - sum(counts)])
+    rows = np.resize(np.arange(1, workload.max_rows + 1), n)
+    rng.shuffle(models)
+    rng.shuffle(rows)
+    return [Arrival(start_index + i, float(times[i]),
+                    workload.models[models[i]], int(rows[i]))
+            for i in range(n)]
