@@ -86,11 +86,23 @@ class PopcountADC(ADC):
         span = 2 * rows
         self.step = max(1, int(np.ceil(span / (self.n_codes - 1))))
 
-    def convert(self, values: np.ndarray) -> np.ndarray:
+    def convert(self, values: np.ndarray,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Quantize onto the integer-step ladder; books one conversion
+        per element.
+
+        The clip/divide/rint/multiply chain runs in place on one array:
+        ``out`` when given (a float64 array of ``values``' shape, which
+        may be ``values`` itself), else a fresh array.
+        """
         values = np.asarray(values, dtype=np.float64)
-        codes = np.rint(np.clip(values, self.lo, self.hi) / self.step)
+        codes = np.empty(values.shape) if out is None else out
+        np.clip(values, self.lo, self.hi, out=codes)
+        np.divide(codes, self.step, out=codes)
+        np.rint(codes, out=codes)
+        np.multiply(codes, self.step, out=codes)
         self.ledger.add("adc_conversion", values.size)
-        return codes * self.step
+        return codes
 
 
 class SenseAmplifier:

@@ -34,6 +34,7 @@ from repro.devices.defects import DefectModel
 from repro.devices.mtj import MTJParams
 from repro.devices.variability import DeviceVariability
 from repro.tensor import bitpack
+from repro.tensor.functional import _conv_scratch_buffers
 
 
 def split_leading_axes(x: np.ndarray, feature_ndim: int):
@@ -285,10 +286,9 @@ class XnorCrossbar:
         Column current is attenuated proportionally to the total
         conductance load on the line; the linear model
         ``1 / (1 + R_wire · n_active · g_p)`` captures the worst-case
-        trend without solving the full resistive mesh.
+        trend without solving the full resistive mesh.  Only called
+        with ``wire_resistance > 0``; without it the factor is 1.
         """
-        if self.wire_resistance <= 0.0:
-            return np.ones_like(n_active, dtype=np.float64)
         load = self.wire_resistance * n_active * self.params.g_p
         return 1.0 / (1.0 + load)
 
@@ -347,7 +347,8 @@ class XnorCrossbar:
         return merge_leading_axes(lead, self.mvm_prepared(pos, neg, n_active))
 
     def _analog_mac(self, pos: np.ndarray, neg: np.ndarray,
-                    n_active: np.ndarray, transposed: bool) -> np.ndarray:
+                    n_active: np.ndarray, transposed: bool,
+                    out: Optional[np.ndarray]) -> np.ndarray:
         """The analog physics shared by every MVM entry point.
 
         Read noise, current summation, IR-drop attenuation, decode and
@@ -355,6 +356,14 @@ class XnorCrossbar:
         column-major routes can never drift apart.  ``n_active`` must
         broadcast against the current matrix ((B, 1) row-major,
         (1, B) column-major).
+
+        The chain runs in place: the column current is summed into
+        ``out`` (a fresh array when ``None``) and decoded there, and
+        the second conductance GEMM lands in a per-thread arena buffer
+        that is dead once this returns.  Each step is the same ufunc on
+        the same operands as the textbook expression, so the result is
+        bit-identical to evaluating it with temporaries.  ``out`` must
+        not alias ``pos``/``neg``.
         """
         v = self.params.read_voltage
         g_direct = self._g_direct
@@ -364,21 +373,36 @@ class XnorCrossbar:
             g_complement = self.variability.read_noise(g_complement)
 
         if transposed:
-            current = v * (g_direct.T @ pos + g_complement.T @ neg)
+            pairs = ((g_direct.T, pos), (g_complement.T, neg))
         else:
-            current = v * (pos @ g_direct + neg @ g_complement)
-        current = current * self._ir_drop_factor(n_active)
+            pairs = ((pos, g_direct), (neg, g_complement))
+        shape = (pairs[0][0].shape[0], pairs[0][1].shape[1])
+        current = np.empty(shape) if out is None else out
+        (spare,) = _conv_scratch_buffers(("xbar_current",) + shape,
+                                         lambda: (np.empty(shape),))
+        np.matmul(*pairs[0], out=current)
+        np.matmul(*pairs[1], out=spare)
+        np.add(current, spare, out=current)
+        np.multiply(v, current, out=current)
+        if self.wire_resistance > 0.0:
+            # Without wire resistance the attenuation is exactly 1.0,
+            # and x · 1.0 == x, so the multiply is skipped.
+            np.multiply(current, self._ir_drop_factor(n_active), out=current)
 
         # Decode matches from analog current using nominal conductances:
-        # I = V (m g_p + (n_active - m) g_ap)  =>  m.
+        # I = V (m g_p + (n_active - m) g_ap)  =>  m;  MAC = 2m - n_active.
         g_p, g_ap = self.params.g_p, self.params.g_ap
-        matches = (current / v - n_active * g_ap) / (g_p - g_ap)
-        mac = 2.0 * matches - n_active
+        np.divide(current, v, out=current)
+        np.subtract(current, n_active * g_ap, out=current)
+        np.divide(current, g_p - g_ap, out=current)
+        np.multiply(2.0, current, out=current)
+        np.subtract(current, n_active, out=current)
         self.book_mvm(int(n_active.sum()))
-        return mac
+        return current
 
     def mvm_prepared(self, pos: np.ndarray, neg: np.ndarray,
-                     n_active: np.ndarray) -> np.ndarray:
+                     n_active: np.ndarray,
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
         """Analog MVM on pre-computed drive masks: (B, n_rows) → (B, n_cols).
 
         ``pos``/``neg`` are the already-gated {0, 1} wordline drive
@@ -387,11 +411,16 @@ class XnorCrossbar:
         chunks share one (pos, neg) preparation across every crossbar
         of a row chunk instead of re-deriving it per call — the same
         current/decode math and ledger bookings as :meth:`matvec`.
+        The MAC is written into ``out`` when given (any float64
+        ``(B, n_cols)`` view, e.g. a column tile of a partial-sum
+        buffer), else returned as a fresh array.
         """
-        return self._analog_mac(pos, neg, n_active, transposed=False)
+        return self._analog_mac(pos, neg, n_active, transposed=False,
+                                out=out)
 
     def mvm_cols(self, pos_t: np.ndarray, neg_t: np.ndarray,
-                 n_active: np.ndarray) -> np.ndarray:
+                 n_active: np.ndarray,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
         """Column-major analog MVM: (n_rows, B) drives → (n_cols, B) MAC.
 
         The transposed twin of :meth:`mvm_prepared` for the CIM conv
@@ -399,10 +428,11 @@ class XnorCrossbar:
         slabs gathered straight from the plan cache — consuming them
         without a transpose copy keeps the warm path allocation-free.
         ``n_active`` has shape ``(B,)``; physics, decode and ledger
-        bookings are identical.
+        bookings are identical, and ``out`` works as in
+        :meth:`mvm_prepared`.
         """
         return self._analog_mac(pos_t, neg_t, n_active[None, :],
-                                transposed=True)
+                                transposed=True, out=out)
 
 
 class AnalogCrossbar:

@@ -36,6 +36,30 @@ from repro.tensor.functional import (
 )
 
 
+def _drive_masks(chunk: np.ndarray, axis: int):
+    """Wordline drive masks of a {−1, 0, +1} drive chunk, in the arena.
+
+    Returns ``(pos, neg, n_active)``: float64 {0, 1} masks of the rows
+    driven "true" / "false" and the per-sample count of asserted rows,
+    summed over the row ``axis`` (kept as a length-1 axis).  All three
+    are per-thread scratch-arena buffers, dead once the calling stage
+    returns.  The count sums each mask on its own: every partial sum
+    is a small integer, so the grouping cannot change a bit.
+    """
+    count_shape = tuple(1 if a == axis else d
+                        for a, d in enumerate(chunk.shape))
+    pos, neg, n_active, n_neg = _conv_scratch_buffers(
+        ("cim_drive", axis) + chunk.shape,
+        lambda: (np.empty(chunk.shape), np.empty(chunk.shape),
+                 np.empty(count_shape), np.empty(count_shape)))
+    np.greater(chunk, 0, out=pos)
+    np.less(chunk, 0, out=neg)
+    np.sum(pos, axis=axis, keepdims=True, out=n_active)
+    np.sum(neg, axis=axis, keepdims=True, out=n_neg)
+    np.add(n_active, n_neg, out=n_active)
+    return pos, neg, n_active
+
+
 class CimConfig:
     """Deployment configuration shared by all layers of a network."""
 
@@ -211,7 +235,12 @@ class CimLinear(CimLayer):
         bits = np.sign(x)     # binarize; exact zeros stay gated (dropout)
         exact = self.exact_route and self._exact_ok
         out = np.zeros((x.shape[0], self.out_features))
-        partial = np.zeros_like(out)
+        if exact:
+            partial = np.zeros_like(out)
+        else:
+            (partial,) = _conv_scratch_buffers(
+                ("cim_linear_partial",) + out.shape,
+                lambda: (np.empty(out.shape),))
         for i, (r0, r1) in enumerate(self.row_chunks):
             # Drive masks are shared by every column tile of the row
             # chunk — prepared once instead of per crossbar.
@@ -239,21 +268,19 @@ class CimLinear(CimLayer):
                         partial[:, c0:c1] = chunk32 @ bar.signed_weights_t().T
                         bar.book_mvm(total_active)
             else:
-                pos = (chunk > 0).astype(np.float64)
-                neg = (chunk < 0).astype(np.float64)
-                n_active = (pos + neg).sum(axis=1, keepdims=True)
+                pos, neg, n_active = _drive_masks(chunk, axis=1)
                 for j, (c0, c1) in enumerate(self.col_chunks):
-                    partial[:, c0:c1] = self.crossbars[i][j].mvm_prepared(
-                        pos, neg, n_active)
-            out += self.adcs[i].convert(partial)
+                    self.crossbars[i][j].mvm_prepared(
+                        pos, neg, n_active, out=partial[:, c0:c1])
+            out += self.adcs[i].convert(partial, out=partial)
         if self.scale is not None:
-            out = out * (self.scale * self.scale_multiplier)
+            np.multiply(out, self.scale * self.scale_multiplier, out=out)
             self.ledger.add("digital_mac", out.size)
         elif not np.isscalar(self.scale_multiplier) or self.scale_multiplier != 1.0:
-            out = out * self.scale_multiplier
+            np.multiply(out, self.scale_multiplier, out=out)
             self.ledger.add("digital_mac", out.size)
         if self.bias is not None:
-            out = out + self.bias
+            np.add(out, self.bias, out=out)
             self.ledger.add("digital_op", out.size)
         return merge_leading_axes(lead, out)
 
@@ -438,7 +465,13 @@ class CimConv2d(CimLayer):
                 gather_buf[~keep] = 0.0
         patches = gather_buf.reshape(self.c_in * k2, ln)
 
-        out = np.zeros((self.c_out, ln))
+        if exact:
+            acc = np.zeros((self.c_out, ln))
+        else:
+            (acc,) = _conv_scratch_buffers(
+                ("cim_conv_acc", self.c_out, ln),
+                lambda: (np.empty((self.c_out, ln)),))
+            acc.fill(0.0)
         n_rc = len(self.plan.row_chunks)
         cog = self.c_out // self.groups
         rows_pg = (self.c_in // self.groups) * k2
@@ -446,7 +479,7 @@ class CimConv2d(CimLayer):
             ("cim_conv_partial", cog, ln, dtype.str),
             lambda: (np.empty((cog, ln), dtype=dtype),))
         for g in range(self.groups):
-            out_g = out[g * cog:(g + 1) * cog]
+            out_g = acc[g * cog:(g + 1) * cog]
             for i, (r0, r1) in enumerate(self.plan.row_chunks):
                 chunk = patches[g * rows_pg + r0:g * rows_pg + r1]
                 bars = self.crossbars[g * n_rc + i]
@@ -467,23 +500,26 @@ class CimConv2d(CimLayer):
                                       out=partial[c0:c1])
                             bars[j].book_mvm(total_active)
                 else:
-                    pos_t = (chunk > 0).astype(np.float64)
-                    neg_t = (chunk < 0).astype(np.float64)
-                    n_active = (pos_t + neg_t).sum(axis=0)
+                    pos_t, neg_t, n_active = _drive_masks(chunk, axis=0)
                     for j, (c0, c1) in enumerate(self.plan.col_chunks):
-                        partial[c0:c1] = bars[j].mvm_cols(pos_t, neg_t,
-                                                          n_active)
-                out_g += self.adcs[g * n_rc + i].convert(partial)
+                        bars[j].mvm_cols(pos_t, neg_t, n_active[0],
+                                         out=partial[c0:c1])
+                # The exact route's float32 partial cannot hold the
+                # float64 codes, so only the analog one converts in place.
+                out_g += self.adcs[g * n_rc + i].convert(
+                    partial, out=None if exact else partial)
 
-        out = out.reshape(self.c_out, length, n)
+        acc = acc.reshape(self.c_out, length, n)
         if self.scale is not None:
-            out = out * (self.scale * np.asarray(self.scale_multiplier)
-                         ).reshape(-1, 1, 1)
-            self.ledger.add("digital_mac", out.size)
+            np.multiply(acc, (self.scale * np.asarray(self.scale_multiplier)
+                              ).reshape(-1, 1, 1), out=acc)
+            self.ledger.add("digital_mac", acc.size)
         if self.bias is not None:
-            out = out + self.bias.reshape(-1, 1, 1)
-            self.ledger.add("digital_op", out.size)
-        out = np.ascontiguousarray(out.transpose(2, 0, 1)).reshape(
+            np.add(acc, self.bias.reshape(-1, 1, 1), out=acc)
+            self.ledger.add("digital_op", acc.size)
+        # The transpose copy is the stage's fresh output; ``acc`` may
+        # be an arena buffer and must not escape.
+        out = np.ascontiguousarray(acc.transpose(2, 0, 1)).reshape(
             n, self.c_out, out_h, out_w)
         return merge_leading_axes(lead, out)
 
@@ -559,19 +595,18 @@ class FrozenNorm(CimLayer):
             gamma = gamma * gm + (1.0 - gm)
         if beta is not None:
             beta = beta * self._per_row(self.beta_multiplier, x)
+        # Each step is one ufunc; the first allocates the stage output
+        # and the rest run in place on it.
         if self.inverted:
-            out = x
-            if gamma is not None:
-                out = out * gamma
-            if beta is not None:
-                out = out + beta
-            out = (out - mean) / std
+            steps = [(np.multiply, gamma), (np.add, beta),
+                     (np.subtract, mean), (np.divide, std)]
         else:
-            out = (x - mean) / std
-            if gamma is not None:
-                out = out * gamma
-            if beta is not None:
-                out = out + beta
+            steps = [(np.subtract, mean), (np.divide, std),
+                     (np.multiply, gamma), (np.add, beta)]
+        out = None
+        for ufunc, operand in steps:
+            if operand is not None:
+                out = ufunc(x if out is None else out, operand, out=out)
         self.ledger.add("digital_mac", x.size)
         return out
 

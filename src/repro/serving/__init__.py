@@ -38,6 +38,7 @@ from repro.serving.controlplane import (
 )
 from repro.serving.errors import (
     AdmissionRejected,
+    InvalidInput,
     Overload,
     QueueFull,
     RemoteEngineError,
@@ -65,6 +66,7 @@ __all__ = [
     "ControlPlane",
     "Frontend",
     "HealthPolicy",
+    "InvalidInput",
     "LoadMetrics",
     "MetricsSnapshot",
     "ModelLatency",

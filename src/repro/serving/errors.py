@@ -17,6 +17,15 @@ Ticket lifecycle
 Every ``submit(x, ...)`` follows the same state machine on every
 front-end:
 
+0. **Validation** — the request's shape, sample count and model route
+   are checked, and so are its values: a row holding NaN or ±inf
+   raises :class:`InvalidInput` (a :class:`ValueError`).  The
+   binarizing wordline drive would otherwise serve such a row
+   silently, a NaN row as confident-looking probabilities and an
+   ``inf`` as ``+1``.
+   Like every validation failure it is raised by ``submit`` itself:
+   the request never joins a batch, so requests coalesced around it
+   are served as if it had never been sent.
 1. **Admission** — with an admission policy attached, the request is
    checked against the queue watermarks *before* it is enqueued.  A
    hard-bound breach raises :class:`QueueFull`; a soft-watermark breach
@@ -42,6 +51,14 @@ front-end:
 """
 
 from __future__ import annotations
+
+
+class InvalidInput(ValueError):
+    """A request whose features are not all finite (NaN or ±inf).
+
+    Raised by ``submit`` before the request is enqueued; no other
+    request is affected.
+    """
 
 
 class AdmissionRejected(RuntimeError):
@@ -111,6 +128,7 @@ class RemoteEngineError(RuntimeError):
 
 __all__ = [
     "AdmissionRejected",
+    "InvalidInput",
     "Overload",
     "QueueFull",
     "RemoteEngineError",

@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.bayesian.base import PredictiveResult
-from repro.serving.errors import ResultTimeout
+from repro.serving.errors import InvalidInput, ResultTimeout
 from repro.serving.metrics import LoadMetrics
 
 # Back-compat: ResultTimeout predates repro.serving.errors and was
@@ -347,6 +347,8 @@ class BatchScheduler:
 
         Raises
         ------
+        InvalidInput
+            For features holding NaN or ±inf (a ``ValueError``).
         ValueError
             For an empty request, a feature-shape mismatch, an
             ambiguous multi-dimensional first request without
@@ -413,6 +415,9 @@ class BatchScheduler:
                 f"request names model {model!r} but the scheduler has "
                 f"no registry")
         x = np.asarray(x, dtype=np.float64)
+        if not np.isfinite(x).all():
+            raise InvalidInput(
+                "request features must be finite (found NaN or inf)")
         with self._lock:
             if feature_shape is not None:
                 # A per-request pin (the normalized submit signature):

@@ -579,13 +579,16 @@ def col2im(cols: np.ndarray, x_shape: tuple, kh: int, kw: int, stride: int,
     return x
 
 
-# Per-thread scratch arena for the inference conv kernel.  The big
+# Per-thread scratch arena for the inference kernels.  The big
 # intermediates (channel-first padded image, GEMM-layout patch matrix,
-# GEMM output) are reused across calls with the same geometry, which
-# avoids the large-allocation churn (mmap + page faults each call)
-# that otherwise dominates pass-stacked forwards.  Thread-local so
-# sharded serving replicas running on a thread pool never share a
-# buffer; the produced output is always a fresh array.
+# GEMM output, and on the CIM analog route the wordline drive masks,
+# conductance GEMMs and ADC codes) are reused across calls with the
+# same geometry, which avoids the large-allocation churn (mmap + page
+# faults each call) that otherwise dominates pass-stacked forwards and
+# per-pass read-noise loops alike.  Thread-local so sharded serving
+# replicas running on a thread pool never share a buffer.  Ownership
+# rule: an arena buffer never outlives the stage that filled it — every
+# stage output is a fresh array.
 _conv_scratch = threading.local()
 
 

@@ -283,3 +283,58 @@ class TestBitpackDifferential:
         np.testing.assert_array_equal(a.samples, b.samples)
         np.testing.assert_array_equal(a.probs, b.probs)
         assert original.ledger.as_dict() == restored.ledger.as_dict()
+
+
+# ----------------------------------------------------------------------
+# Analog readout route: differential against the sequential oracle.
+#
+# With cycle-to-cycle read noise the batched engine drops to one pass
+# per stacked call on the float64 analog route, whose readout chain
+# (drive masks, conductance GEMMs, IR drop, decode, ADC) runs in place
+# on per-thread arena buffers.  Wire resistance keeps the IR-drop
+# multiply on the path, and a 4-bit ADC gives the 9-row first conv an
+# even step (2), where a rounding tie is decided by the decode's float
+# noise — so any reordering of that arithmetic would show here.
+
+def _noisy_config(seed):
+    from repro.devices import DefectModel, DefectRates, DeviceVariability
+    from repro.devices.variability import VariabilityParams
+    return CimConfig(
+        seed=seed, adc_bits=4, wire_resistance=40.0, max_rows=24,
+        max_cols=6,
+        variability=DeviceVariability(VariabilityParams(),
+                                      rng=np.random.default_rng(seed)),
+        defects=DefectModel(DefectRates(stuck_at_p=0.01, stuck_at_ap=0.01),
+                            rng=np.random.default_rng(seed + 1)))
+
+
+def _analog_engine(family):
+    if family == "cim_conv":
+        model = make_spatial_spindrop_cnn(1, 12, 4, widths=(4, 8), seed=2)
+        return BayesianCim(model, _noisy_config(11), seed=33), X_IMG
+    if family == "spindrop":
+        model = make_spindrop_mlp(20, (16,), 4, p=0.3, seed=1)
+        return BayesianCim(model, _noisy_config(12), seed=33), X_FLAT
+    raise ValueError(family)
+
+
+class TestAnalogRouteDifferential:
+    @pytest.mark.parametrize("family", ("cim_conv", "spindrop"))
+    @pytest.mark.parametrize("rows", (1, 3))
+    def test_batched_matches_sequential_oracle(self, family, rows):
+        batched, x = _analog_engine(family)
+        oracle, _ = _analog_engine(family)
+        layers = batched.network.mvm_layers()
+        assert all(not bar.is_ideal for layer in layers
+                   for row in layer.crossbars for bar in row)
+        assert any(bar.wire_resistance > 0 for row in layers[0].crossbars
+                   for bar in row)
+        if family == "cim_conv":
+            assert any(adc.step % 2 == 0 for adc in layers[0].adcs)
+        x = x[:rows]
+        for _ in range(2):      # the second call runs on warm arenas
+            a = batched.mc_forward_batched(x, n_samples=5)
+            b = oracle.mc_forward(x, n_samples=5, batched=False)
+            np.testing.assert_array_equal(a.samples, b.samples)
+            np.testing.assert_array_equal(a.probs, b.probs)
+        assert batched.ledger.as_dict() == oracle.ledger.as_dict()

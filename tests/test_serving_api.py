@@ -28,6 +28,7 @@ from repro.serving import (
     AsyncBatchScheduler,
     BatchScheduler,
     Frontend,
+    InvalidInput,
     ModelRegistry,
     Overload,
     QueueFull,
@@ -189,6 +190,65 @@ class TestNormalizedSubmit:
 
 
 # ----------------------------------------------------------------------
+# Input contract: non-finite features fail their own ticket only
+# ----------------------------------------------------------------------
+def _poisoned(kind):
+    bad = X[1:2].copy()
+    if kind == "nan_row":
+        bad[:] = np.nan
+    else:
+        bad[0, 5] = np.inf if kind == "inf" else -np.inf
+    return bad
+
+
+def _direct_siblings():
+    """What one engine call on the healthy siblings' rows returns."""
+    return _factory().mc_forward_batched(X, n_samples=4).samples
+
+
+POISON_KINDS = ("nan_row", "inf", "neg_inf")
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("kind", POISON_KINDS)
+    def test_sync_rejects_only_the_poisoned_request(self, snapshot_path,
+                                                    kind):
+        with serve(snapshot_path, backend="sync",
+                   config=ServingConfig(n_samples=4)) as f:
+            first = f.submit(X[:2])
+            with pytest.raises(InvalidInput):
+                f.submit(_poisoned(kind))
+            second = f.submit(X[2:])
+            assert f.flush() == 2
+            served = np.concatenate(
+                [first.result().samples, second.result().samples], axis=1)
+        np.testing.assert_array_equal(served, _direct_siblings())
+
+    @pytest.mark.parametrize("kind", POISON_KINDS)
+    def test_async_rejects_only_the_poisoned_request(self, snapshot_path,
+                                                     kind):
+        async def run():
+            # A long flush interval keeps all three submits in one batch
+            # until the explicit flush.
+            config = ServingConfig(n_samples=4, flush_interval=30.0)
+            async with serve(snapshot_path, backend="async",
+                             config=config) as f:
+                first = await f.submit(X[:2])
+                with pytest.raises(InvalidInput):
+                    await f.submit(_poisoned(kind))
+                second = await f.submit(X[2:])
+                await f.flush()
+                return np.concatenate([(await first.result()).samples,
+                                       (await second.result()).samples],
+                                      axis=1)
+        np.testing.assert_array_equal(asyncio.run(run()),
+                                      _direct_siblings())
+
+    def test_invalid_input_is_a_value_error(self):
+        assert issubclass(InvalidInput, ValueError)
+
+
+# ----------------------------------------------------------------------
 # The error taxonomy lives in repro.serving.errors
 # ----------------------------------------------------------------------
 class TestErrorsModule:
@@ -199,8 +259,9 @@ class TestErrorsModule:
 
     def test_package_reexports_are_the_same_objects(self):
         from repro import serving
-        for name in ("AdmissionRejected", "Overload", "QueueFull",
-                     "RemoteEngineError", "ResultTimeout", "WorkerDied"):
+        for name in ("AdmissionRejected", "InvalidInput", "Overload",
+                     "QueueFull", "RemoteEngineError", "ResultTimeout",
+                     "WorkerDied"):
             assert getattr(serving, name) is getattr(serving_errors, name)
 
     def test_scheduler_backcompat_alias(self):
